@@ -43,6 +43,7 @@ from .forest import EvidenceForest
 from .incompleteness_join import (
     CompletedJoin,
     IncompletenessJoin,
+    pushdown_provenance,
     restrict_chunk_output,
 )
 from .progressive import Refinement, SamplingBudget
@@ -62,11 +63,13 @@ from .selection import (
 class ReStoreConfig:
     """Engine-level configuration.
 
-    ``chunk_size`` streams the incompleteness join over chunks of that many
-    root evidence rows (bounding peak memory; ``None`` = single pass),
-    ``join_cache_size`` bounds the LRU cache of completed joins, and
-    ``compiled_inference`` selects the graph-free float32 runtime for
-    completion-time sampling (training always uses autograd).
+    ``chunk_size`` cuts the incompleteness join's root evidence rows into
+    chunks of that many rows (``None`` = one chunk) — the granularity at
+    which chunk outputs are cached and reused; a call walks its chunks in
+    one batched pass per worker.  ``join_cache_size`` bounds the LRU cache
+    of completed joins, and ``compiled_inference`` selects the graph-free
+    float32 runtime for completion-time sampling.  Training runs on the
+    fused float32 kernels by default (see ``train_backend``).
 
     ``n_workers`` / ``parallel_backend`` fan work out over an executor
     (:mod:`repro.runtime.parallel`): the incompleteness join shards its
@@ -522,23 +525,25 @@ class ReStore:
         indices: Sequence[int],
         plan: Optional[PushdownPlan],
         signature: Tuple,
-    ) -> Tuple[List, Dict[str, int]]:
+        mask: Optional[np.ndarray] = None,
+    ) -> Tuple[List, Dict[str, int], Optional[np.ndarray]]:
         """Chunk outputs for the given grid indices: cache, then walk.
 
         Chunks with no qualifying root row are skipped outright; cached
         chunks from a looser plan are re-filtered by the leftover
         predicates; everything else is walked on the executor and cached
         under the plan's fingerprint for the next overlapping query.
-        Outputs come back in grid order.
+        Outputs come back in grid order, with the chunk counts and the
+        plan's qualifying-root mask (``None`` without root filters) —
+        callers reuse the mask instead of recomputing it.
         """
         fingerprints = plan.fingerprint_set() if plan is not None else frozenset()
         with trace("engine.gather_chunks", chunks=len(indices)) as span:
-            mask = None
-            if plan is not None and plan.has_root_filters:
+            if mask is None and plan is not None and plan.has_root_filters:
                 mask = join.qualifying_root_mask(plan, tables)
             outputs: List = []
             missing: List[Tuple[int, Tuple[int, int]]] = []
-            stats = {"chunks_cached": 0, "chunks_walked": 0, "chunks_skipped": 0}
+            stats = {"chunks_walked": 0, "chunks_cached": 0, "chunks_skipped": 0}
             for i in indices:
                 task = grid[i]
                 if mask is not None and not mask[task[0]:task[1]].any():
@@ -567,7 +572,7 @@ class ReStore:
             span.set("chunks_cached", stats["chunks_cached"])
             span.set("chunks_walked", stats["chunks_walked"])
             span.set("chunks_skipped", stats["chunks_skipped"])
-            return outputs, stats
+            return outputs, stats, mask
 
     def _pushed_completion(
         self, model: _CompletionModelBase, plan: PushdownPlan
@@ -581,27 +586,16 @@ class ReStore:
             tables = join.effective_tables()
             grid = tuple(join.chunk_tasks(tables))
             signature = self._join_key(model)
-            outputs, stats = self._gather_chunks(
+            outputs, stats, mask = self._gather_chunks(
                 join, tables, grid, range(len(grid)), plan, signature
             )
             completed = join.assemble(outputs, tables, plan)
             num_roots = len(self.db.table(tables[0]))
-            roots_qualifying = num_roots
-            if plan.has_root_filters:
-                roots_qualifying = int(
-                    join.qualifying_root_mask(plan, tables).sum()
-                )
+            roots_qualifying = num_roots if mask is None else int(mask.sum())
             span.set("roots_qualifying", roots_qualifying)
-        completed.pushdown = {
-            "roots_total": num_roots,
-            "roots_qualifying": roots_qualifying,
-            "chunks_total": len(grid),
-            "chunks_walked": stats["chunks_walked"],
-            "chunks_cached": stats["chunks_cached"],
-            "chunks_skipped": stats["chunks_skipped"],
-            "filters": plan.counts_by_kind(),
-            "residual_filters": len(plan.residual),
-        }
+        completed.pushdown = pushdown_provenance(
+            plan, num_roots, roots_qualifying, len(grid), **stats
+        )
         return completed
 
     def completed_join(self, model: _CompletionModelBase) -> CompletedJoin:
@@ -625,7 +619,7 @@ class ReStore:
                 tables = join.effective_tables()
                 grid = tuple(join.chunk_tasks(tables))
                 if self.partial_cache.has_entries(key, grid):
-                    outputs, _stats = self._gather_chunks(
+                    outputs, _stats, _mask = self._gather_chunks(
                         join, tables, grid, range(len(grid)), None, key
                     )
                     completed = join.assemble(outputs, tables)
@@ -730,7 +724,7 @@ class ReStore:
         join = self._partial_join(model)
         tables = join.effective_tables()
         grid = tuple(join.chunk_tasks(tables))
-        outputs, stats = self._gather_chunks(
+        outputs, stats, _mask = self._gather_chunks(
             join, tables, grid, range(len(grid)), None, key
         )
         completed = join.assemble(outputs, tables)
@@ -1119,11 +1113,12 @@ class ReStore:
 
         outputs: List = []
         have = 0
+        mask: Optional[np.ndarray] = None
         previous_width: Optional[float] = None
         schedule = budget.schedule(len(grid))
         for index, upto in enumerate(schedule):
-            batch, _stats = self._gather_chunks(
-                join, tables, grid, range(have, upto), plan, signature
+            batch, _stats, mask = self._gather_chunks(
+                join, tables, grid, range(have, upto), plan, signature, mask
             )
             outputs.extend(batch)
             have = upto

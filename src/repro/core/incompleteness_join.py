@@ -19,22 +19,32 @@ Execution is handled by the inference runtime (:mod:`repro.runtime`):
 
 * Model forwards run on the graph-free compiled float32 path by default —
   no autograd graphs are built while sampling.
-* ``run()`` streams over chunks of root evidence rows (``chunk_size``), so
-  peak transient memory is bounded on large databases.  Every walk row
-  carries a counter-based random stream derived from its lineage (root row
-  plus child ordinals), which makes each output row a pure function of the
-  seed and the data — chunked and unchunked runs produce the same rows
-  bitwise (row *order* differs: each chunk emits its rows together).
-  Shared parents synthesized for dangling foreign keys derive their stream
-  from the *key value*, so chunks that split a key's children still
-  materialize the same parent tuple.
-* Because chunks are pure, ``run()`` can fan them out over an executor
-  (``n_workers`` / ``parallel_backend`` — see :mod:`repro.runtime.parallel`).
-  Thread workers share this join object (walks accumulate into chunk-local
+* Root evidence rows are cut into a grid of chunks (``chunk_size``); a
+  chunk's output is the unit the partial-completion cache stores and
+  reuses.  Every walk row carries a counter-based random stream derived
+  from its lineage (root row plus child ordinals), which makes each output
+  row a pure function of the seed and the data — chunked and unchunked
+  runs produce the same rows bitwise (row *order* differs: each chunk
+  emits its rows together).  Shared parents synthesized for dangling
+  foreign keys derive their stream from the *key value*, so chunks that
+  split a key's children still materialize the same parent tuple.
+* A call walks its chunks as **groups**: the chunk list is cut into at
+  most ``n_workers`` contiguous groups (one on the serial executor), and
+  each group is one walk over the concatenation of its chunks' root rows,
+  so per-chunk dispatch and padded model tiles are paid once per group.
+  Each row carries its ``origin`` (chunk index within the group) through
+  every hop; because hops emit rows in owner order, one stable sort by
+  origin splits the group's rows, parked states, synthesis counts and
+  issued ids back into exactly the outputs one-chunk walks produce.  With
+  a ``spill_dir`` every group is a single chunk: one resident chunk is
+  what bounds a spilled run's memory.
+* Because groups are pure, they fan out over an executor (``n_workers`` /
+  ``parallel_backend`` — see :mod:`repro.runtime.parallel`).  Thread
+  workers share this join object (walks accumulate into group-local
   accumulators, shared caches are pre-warmed); process workers receive a
   picklable :class:`~repro.core.models.CompletionSnapshot` — the compiled
   float32 model, never the autograd module — and rebuild a worker-local
-  join from it.  Dangling-FK parents are parked per chunk and merged
+  join from it.  Dangling-FK rows are parked per chunk and resolved
   deterministically after the fan-out barrier, so output rows are bitwise
   identical (up to order) across backends and worker counts.
 
@@ -114,6 +124,8 @@ class _WalkState:
     context: Optional[np.ndarray]     # (R, C) SSAR context or None
     streams: np.ndarray               # (R,) uint64 per-row random stream ids
     counters: np.ndarray              # (R,) uint64 per-row draw counters
+    #: (R,) chunk of each row within a multi-chunk group walk, else None
+    origin: Optional[np.ndarray] = None
 
     @property
     def num_rows(self) -> int:
@@ -129,6 +141,7 @@ class _WalkState:
             context=None if self.context is None else self.context[idx],
             streams=self.streams[idx],
             counters=self.counters[idx],
+            origin=None if self.origin is None else self.origin[idx],
         )
 
 
@@ -173,6 +186,10 @@ def _concat_many(states: List[_WalkState]) -> _WalkState:
         ),
         streams=np.concatenate([s.streams for s in non_empty]),
         counters=np.concatenate([s.counters for s in non_empty]),
+        origin=(
+            None if first.origin is None
+            else np.concatenate([s.origin for s in non_empty])
+        ),
     )
 
 
@@ -188,15 +205,29 @@ class _ShardAccumulator:
     parked: Dict[int, List[_WalkState]] = field(default_factory=dict)
     num_synth: Dict[str, int] = field(default_factory=dict)
     issued_ids: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    #: Group walks only: the origin chunk of every synthesized row and of
+    #: every issued id, parallel to ``num_synth`` / ``issued_ids``.
+    synth_origins: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    id_origins: Dict[str, List[np.ndarray]] = field(default_factory=dict)
 
     def park(self, slot: int, state: _WalkState) -> None:
         self.parked.setdefault(slot, []).append(state)
 
-    def count_synth(self, table_name: str, count: int) -> None:
+    def count_synth(
+        self, table_name: str, count: int,
+        origin: Optional[np.ndarray] = None,
+    ) -> None:
         self.num_synth[table_name] = self.num_synth.get(table_name, 0) + count
+        if origin is not None:
+            self.synth_origins.setdefault(table_name, []).append(origin)
 
-    def record_ids(self, table_name: str, ids: np.ndarray) -> None:
+    def record_ids(
+        self, table_name: str, ids: np.ndarray,
+        origin: Optional[np.ndarray] = None,
+    ) -> None:
         self.issued_ids.setdefault(table_name, []).append(ids)
+        if origin is not None:
+            self.id_origins.setdefault(table_name, []).append(origin)
 
     def merge(self, other: "_ShardAccumulator") -> None:
         """Fold another shard's side-state into this one (order-preserving)."""
@@ -218,6 +249,64 @@ class _ChunkOutput:
     @property
     def num_rows(self) -> int:
         return self.state.num_rows
+
+
+def _chunk_indices(origin: np.ndarray, num_chunks: int) -> List[np.ndarray]:
+    """Positions of each origin chunk's rows, in their original order.
+
+    Every hop emits its parts in owner order, so a stable sort by origin
+    yields exactly the rows — in the same order — that walking each chunk
+    on its own would have produced.
+    """
+    order = np.argsort(origin, kind="stable")
+    bounds = np.searchsorted(origin[order], np.arange(num_chunks + 1))
+    return [order[bounds[c]:bounds[c + 1]] for c in range(num_chunks)]
+
+
+def _split_state(state: _WalkState, num_chunks: int) -> List[_WalkState]:
+    parts = []
+    for idx in _chunk_indices(state.origin, num_chunks):
+        part = state.take(idx)
+        part.origin = None
+        parts.append(part)
+    return parts
+
+
+def _split_group(
+    state: _WalkState, acc: _ShardAccumulator, num_chunks: int
+) -> List[_ChunkOutput]:
+    """Split a group walk back into its chunks' outputs.
+
+    Each output equals the one a walk of that chunk alone returns: its
+    state rows, its parked dangling-FK states per slot, its non-zero
+    synthesis counts and its issued ids, all in walk order.
+    """
+    if state.origin is None:  # a one-chunk group is a plain chunk walk
+        return [_ChunkOutput(state=state, acc=acc)]
+    outputs = [
+        _ChunkOutput(state=part, acc=_ShardAccumulator())
+        for part in _split_state(state, num_chunks)
+    ]
+    for slot, parked in acc.parked.items():
+        for group_state in parked:
+            for output, part in zip(outputs, _split_state(group_state, num_chunks)):
+                if part.num_rows:
+                    output.acc.park(slot, part)
+    for table_name in acc.num_synth:
+        origin = np.concatenate(acc.synth_origins[table_name])
+        for output, count in zip(
+            outputs, np.bincount(origin, minlength=num_chunks)
+        ):
+            if count:
+                output.acc.count_synth(table_name, int(count))
+    for table_name, id_arrays in acc.issued_ids.items():
+        for ids, origin in zip(id_arrays, acc.id_origins[table_name]):
+            for output, idx in zip(
+                outputs, _chunk_indices(origin, num_chunks)
+            ):
+                if len(idx):
+                    output.acc.record_ids(table_name, ids[idx])
+    return outputs
 
 
 def _spill_state(state: _WalkState, path: str) -> None:
@@ -363,41 +452,71 @@ def _build_worker_join(spec: _JoinWorkerSpec):
     return join, list(spec.tables), spec.plan, None, spec.spill_dir
 
 
-def _walk_chunk_task(state, task: Tuple[int, int]) -> AnyChunkOutput:
-    """Executor task: walk one chunk of root rows (any backend).
+def _walk_group_task(
+    state, group: Sequence[Tuple[int, int]]
+) -> List[AnyChunkOutput]:
+    """Executor task: walk one group of chunks in one pass (any backend).
 
     The fourth payload element is the dispatching caller's trace context:
     contextvars do not flow into pool threads, so the context rides along
-    explicitly and each chunk walk becomes a child span of the dispatch
+    explicitly and each group walk becomes a child span of the dispatch
     (process workers get ``None`` — their tracer is off by default).
     With a spill directory, the walked rows are written to disk *on the
     worker* and only a small handle travels back.
     """
     join, tables, plan, ctx, spill_dir = state
-    start, stop = task
     if not tracing_enabled():
-        output = join._walk_chunk(slice(start, stop), tables, plan)
-        return _maybe_spill_output(output, spill_dir, start, stop)
+        outputs = join._walk_group(group, tables, plan)
+        return _maybe_spill_outputs(outputs, group, spill_dir)
     with activate(ctx):
         with trace(
-            "join.chunk", chunk=f"{start}:{stop}", rows_scanned=stop - start
+            "join.chunk", chunks=len(group),
+            rows_scanned=sum(stop - start for start, stop in group),
         ) as span:
-            output = join._walk_chunk(slice(start, stop), tables, plan)
-            span.set("rows_out", len(output.state.weights))
-            return _maybe_spill_output(output, spill_dir, start, stop)
+            outputs = join._walk_group(group, tables, plan)
+            span.set("rows_out", sum(o.num_rows for o in outputs))
+            return _maybe_spill_outputs(outputs, group, spill_dir)
 
 
-def _maybe_spill_output(
-    output: _ChunkOutput, spill_dir: Optional[str], start: int, stop: int
-) -> AnyChunkOutput:
+def _maybe_spill_outputs(
+    outputs: List[_ChunkOutput],
+    group: Sequence[Tuple[int, int]],
+    spill_dir: Optional[str],
+) -> List[AnyChunkOutput]:
     if spill_dir is None:
-        return output
+        return outputs
     os.makedirs(spill_dir, exist_ok=True)
-    path = os.path.join(spill_dir, f"chunk_{start}_{stop}.npz")
-    _spill_state(output.state, path)
-    return _SpilledChunkOutput(
-        path=path, acc=output.acc, num_rows=output.state.num_rows
-    )
+    spilled: List[AnyChunkOutput] = []
+    for output, (start, stop) in zip(outputs, group):
+        path = os.path.join(spill_dir, f"chunk_{start}_{stop}.npz")
+        _spill_state(output.state, path)
+        spilled.append(_SpilledChunkOutput(
+            path=path, acc=output.acc, num_rows=output.state.num_rows
+        ))
+    return spilled
+
+
+def pushdown_provenance(
+    plan: PushdownPlan,
+    roots_total: int,
+    roots_qualifying: int,
+    chunks_total: int,
+    **chunk_counts: int,
+) -> Dict[str, object]:
+    """The ``pushdown`` provenance dict of a pushed completion.
+
+    Roots scanned vs qualifying, chunks total plus the caller's chunk
+    counts (walked, and cached/skipped where a chunk cache is involved),
+    and the plan's pushed-filter counts by kind.
+    """
+    return {
+        "roots_total": roots_total,
+        "roots_qualifying": roots_qualifying,
+        "chunks_total": chunks_total,
+        **chunk_counts,
+        "filters": plan.counts_by_kind(),
+        "residual_filters": len(plan.residual),
+    }
 
 
 class IncompletenessJoin:
@@ -417,12 +536,15 @@ class IncompletenessJoin:
         Folds into every per-row random stream; two runs with the same seed
         produce identical output.
     chunk_size:
-        Stream the walk over chunks of this many root evidence rows
-        (``None`` = single pass).  The output is the same set of rows
-        (bitwise, weights included) for any chunk size; row order, peak
-        memory and batching granularity are what change.
+        Cut the root evidence rows into chunks of this many rows (``None``
+        = one chunk).  The output is the same set of rows (bitwise,
+        weights included) for any chunk size; row order and the
+        granularity of chunk outputs (what the partial-completion cache
+        reuses) are what change.  A call walks its chunks in at most
+        ``n_workers`` batched group walks, so without ``spill_dir`` the
+        chunk size does not bound the walk's transient memory.
     n_workers / parallel_backend:
-        Fan root-row chunks out over an executor (``"serial"``, ``"thread"``
+        Fan chunk groups out over an executor (``"serial"``, ``"thread"``
         or ``"process"``; see :mod:`repro.runtime.parallel`).  Output rows
         are identical (up to order) for every backend and worker count at a
         fixed seed.  With ``n_workers > 1`` and no explicit ``chunk_size``, a
@@ -433,7 +555,8 @@ class IncompletenessJoin:
         sampling on a different runtime.
     spill_dir:
         Stream completed chunks through this directory instead of holding
-        them in RAM: each worker writes its walked rows to disk and ships
+        them in RAM: every chunk is walked on its own (a group of one),
+        each worker writes its walked rows to disk and ships
         back an O(1) handle, and :meth:`assemble` concatenates the spilled
         chunks into a store-backed result without ever materializing the
         full join.  Combined with a memory-mapped database this bounds the
@@ -514,14 +637,10 @@ class IncompletenessJoin:
         outputs = self.walk_chunks(walked, tables, plan)
         completed = self.assemble(outputs, tables, plan)
         if plan is not None:
-            completed.pushdown = {
-                "roots_total": num_roots,
-                "roots_qualifying": roots_qualifying,
-                "chunks_total": len(tasks),
-                "chunks_walked": len(walked),
-                "filters": plan.counts_by_kind(),
-                "residual_filters": len(plan.residual),
-            }
+            completed.pushdown = pushdown_provenance(
+                plan, num_roots, roots_qualifying, len(tasks),
+                chunks_walked=len(walked),
+            )
         return completed
 
     def effective_tables(self, stop_table: Optional[str] = None) -> List[str]:
@@ -593,6 +712,8 @@ class IncompletenessJoin:
     ) -> List[_ChunkOutput]:
         """Walk the given root-row chunks (no assembly) on the executor.
 
+        The chunks are walked as contiguous groups, one batched walk per
+        worker, and come back as one output per chunk, in task order.
         Each output is a pure function of (seed, chunk bounds, plan) — the
         progressive engine walks a prefix of :meth:`chunk_tasks` now and
         tops up later; the partial-completion cache stores outputs keyed by
@@ -652,7 +773,7 @@ class IncompletenessJoin:
             if not chunks:
                 # All chunks were skipped by pre-walk pruning: produce a
                 # correctly shaped empty result by walking zero rows.
-                chunks = [self._walk_chunk(slice(0, 0), tables, plan).state]
+                chunks = [self._walk_group([(0, 0)], tables, plan)[0].state]
             # One concatenation at the end — pairwise accumulation would
             # copy the growing result once per chunk (quadratic in rows).
             completed = _concat_many(chunks)
@@ -817,12 +938,12 @@ class IncompletenessJoin:
         tables: List[str],
         plan: Optional[PushdownPlan] = None,
     ) -> List[_ChunkOutput]:
-        """Dispatch chunk walks to the executor and collect them in order."""
+        """Dispatch group walks to the executor; chunk outputs in task order."""
         use_compiled = getattr(self.model, "use_compiled", True)
         if self._executor.shares_caller_state or not use_compiled:
             # Serial/thread workers operate on this join directly.  Warm the
             # shared per-table caches first: afterwards concurrent walks only
-            # read them (walk side-state goes to chunk-local accumulators).
+            # read them (walk side-state goes to group-local accumulators).
             # Models on the autograd backend also land here even under the
             # process backend: their float64 sampling has no picklable
             # snapshot, and silently switching them to the compiled float32
@@ -832,38 +953,75 @@ class IncompletenessJoin:
                 self._executor if self._executor.shares_caller_state
                 else SerialExecutor()
             )
-            return executor.map(
-                _walk_chunk_task, tasks,
-                payload=(self, tables, plan, current_context(),
-                         self.spill_dir),
+            payload = (self, tables, plan, current_context(), self.spill_dir)
+            init = None
+        else:
+            executor = self._executor
+            payload = _JoinWorkerSpec(
+                model=self.model.inference_snapshot(),
+                approximate_replacement=self.approximate_replacement,
+                replace_synthesized=self.replace_synthesized,
+                seed=self.seed,
+                tables=tuple(tables),
+                plan=plan,
+                spill_dir=self.spill_dir,
             )
-        spec = _JoinWorkerSpec(
-            model=self.model.inference_snapshot(),
-            approximate_replacement=self.approximate_replacement,
-            replace_synthesized=self.replace_synthesized,
-            seed=self.seed,
-            tables=tuple(tables),
-            plan=plan,
-            spill_dir=self.spill_dir,
+            init = _build_worker_join
+        groups = self._task_groups(tasks, executor)
+        results = executor.map(
+            _walk_group_task, groups, payload=payload, init=init
         )
-        return self._executor.map(
-            _walk_chunk_task, tasks, payload=spec, init=_build_worker_join
-        )
+        return [output for outputs in results for output in outputs]
 
-    def _walk_chunk(
+    def _task_groups(
+        self, tasks: List[Tuple[int, int]], executor
+    ) -> List[List[Tuple[int, int]]]:
+        """Split tasks into contiguous groups, one walk per group.
+
+        One group per worker (a single group on the serial executor), so
+        per-chunk dispatch and padded tiles are paid once per worker rather
+        than once per chunk.  A spilled run keeps one chunk per group: one
+        resident chunk is what bounds its peak memory.
+        """
+        if self.spill_dir is not None:
+            return [[task] for task in tasks]
+        n = min(
+            1 if executor.backend == "serial" else executor.n_workers,
+            len(tasks),
+        )
+        return [
+            tasks[len(tasks) * g // n:len(tasks) * (g + 1) // n]
+            for g in range(n)
+        ]
+
+    def _walk_group(
         self,
-        rows_slice: slice,
+        group: Sequence[Tuple[int, int]],
         tables: Sequence[str],
         plan: Optional[PushdownPlan] = None,
-    ) -> _ChunkOutput:
-        """Walk one chunk of root rows into a self-contained output."""
+    ) -> List[_ChunkOutput]:
+        """Walk a group of root-row chunks in one pass, one output per chunk.
+
+        The group walks the concatenation of its chunks' root rows; an
+        ``origin`` array (each row's chunk within the group) rides along on
+        the walk state and the accumulator, and :func:`_split_group` cuts
+        the result back into exactly the outputs of one-chunk walks.
+        """
         acc = _ShardAccumulator()
-        rows = np.arange(rows_slice.start, rows_slice.stop, dtype=np.int64)
+        rows = np.concatenate(
+            [np.arange(start, stop, dtype=np.int64) for start, stop in group]
+        )
+        origin = None
+        if len(group) > 1:
+            origin = np.repeat(
+                np.arange(len(group), dtype=np.int32),
+                [stop - start for start, stop in group],
+            )
         if plan is not None and plan.has_root_filters and len(rows):
             # Pre-walk pruning: drop non-qualifying roots before any model
-            # sampling.  Only the filters' own columns are sliced here —
-            # gathered straight from a mapped store (nothing cached), or
-            # sliced from the materialized root columns otherwise.
+            # sampling.  Only the filters' own columns are read, once per
+            # group — gathered straight from a mapped store (nothing
+            # cached), or sliced from the materialized root columns.
             root = tables[0]
             table = self.db.table(root)
             filters = plan.filters_at(0)
@@ -880,9 +1038,14 @@ class IncompletenessJoin:
                     p.column: self._root_columns[p.column][rows]
                     for p in filters
                 }
-            rows = rows[conjunction_mask(cols, filters, len(rows))]
-        state = self._walk(self._initial_state(rows), 1, len(tables), acc, plan)
-        return _ChunkOutput(state=state, acc=acc)
+            keep = conjunction_mask(cols, filters, len(rows))
+            rows = rows[keep]
+            if origin is not None:
+                origin = origin[keep]
+        state = self._initial_state(rows)
+        state.origin = origin
+        state = self._walk(state, 1, len(tables), acc, plan)
+        return _split_group(state, acc, len(group))
 
     def _prepare_shared_caches(self, tables: List[str]) -> None:
         """Materialize every lazily built read-only cache up front.
@@ -1301,7 +1464,7 @@ class IncompletenessJoin:
                 # two distinct tuples silently merge during projection.
                 ids = (-2 - (part.streams & _SYNTH_ID_MASK).astype(np.int64))
                 part.columns[f"{table_name}.{column}"] = ids
-                acc.record_ids(table_name, ids)
+                acc.record_ids(table_name, ids, part.origin)
             else:
                 part.columns[f"{table_name}.{column}"] = np.full(
                     part.num_rows, MISSING_KEY, dtype=np.int64
@@ -1309,7 +1472,7 @@ class IncompletenessJoin:
         part.synthesized = np.ones(part.num_rows, dtype=bool)
         part.current_rows = np.full(part.num_rows, -1, dtype=np.int64)
         if count:
-            acc.count_synth(table_name, part.num_rows)
+            acc.count_synth(table_name, part.num_rows, part.origin)
 
     def _maybe_replace(self, part: _WalkState, slot: int, table_name: str) -> _WalkState:
         """Euclidean replacement for synthesized tuples of complete tables."""
@@ -1346,6 +1509,7 @@ class IncompletenessJoin:
             context=None if state.context is None else state.context[:0],
             streams=state.streams[:0],
             counters=state.counters[:0],
+            origin=None if state.origin is None else state.origin[:0],
         )
 
     def _mean_children_per_parent(self, fk) -> float:
