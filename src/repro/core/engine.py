@@ -64,12 +64,14 @@ class ReStoreConfig:
     """Engine-level configuration.
 
     ``chunk_size`` cuts the incompleteness join's root evidence rows into
-    chunks of that many rows (``None`` = one chunk) — the granularity at
-    which chunk outputs are cached and reused; a call walks its chunks in
-    one batched pass per worker.  ``join_cache_size`` bounds the LRU cache
-    of completed joins, and ``compiled_inference`` selects the graph-free
-    float32 runtime for completion-time sampling.  Training runs on the
-    fused float32 kernels by default (see ``train_backend``).
+    chunks of that many rows (``None`` = one chunk) and bounds every walk
+    to one chunk, so it bounds a completion's transient memory.  Left
+    ``None``, cold completions walk every root row in one pass and the
+    partial-cache paths walk their canonical grid (``progressive_chunks``)
+    in one batched pass on a serial executor.  ``join_cache_size`` bounds
+    the LRU cache of completed joins, and ``compiled_inference`` selects
+    the graph-free float32 runtime for completion-time sampling.  Training
+    runs on the fused float32 kernels by default (see ``train_backend``).
 
     ``n_workers`` / ``parallel_backend`` fan work out over an executor
     (:mod:`repro.runtime.parallel`): the incompleteness join shards its
@@ -496,6 +498,10 @@ class ReStore:
             ),
             n_workers=self.config.n_workers,
             parallel_backend=self.config.parallel_backend,
+            # An explicit chunk size bounds every walk to one chunk; the
+            # default canonical grid is cache granularity only and walks
+            # grouped, like the cold path's single pass over every root.
+            max_group_rows=self.config.chunk_size,
         )
 
     def _partial_join(self, model: _CompletionModelBase) -> IncompletenessJoin:
@@ -541,15 +547,20 @@ class ReStore:
         with trace("engine.gather_chunks", chunks=len(indices)) as span:
             if mask is None and plan is not None and plan.has_root_filters:
                 mask = join.qualifying_root_mask(plan, tables)
-            outputs: List = []
-            missing: List[Tuple[int, Tuple[int, int]]] = []
-            stats = {"chunks_walked": 0, "chunks_cached": 0, "chunks_skipped": 0}
+            stats = {"chunks_cached": 0, "chunks_walked": 0, "chunks_skipped": 0}
+            probed: List[Tuple[int, int]] = []
             for i in indices:
                 task = grid[i]
                 if mask is not None and not mask[task[0]:task[1]].any():
                     stats["chunks_skipped"] += 1
-                    continue
-                hit = self.partial_cache.lookup(signature, grid, task, fingerprints)
+                else:
+                    probed.append(task)
+            hits = self.partial_cache.lookup_many(
+                signature, grid, probed, fingerprints
+            )
+            outputs: List = []
+            missing: List[Tuple[int, Tuple[int, int]]] = []
+            for task, hit in zip(probed, hits):
                 if hit is not None:
                     output, cached_fps = hit
                     if cached_fps != fingerprints:
@@ -562,11 +573,12 @@ class ReStore:
                     missing.append((len(outputs), task))
                     outputs.append(None)
             if missing:
-                walked = join.walk_chunks([t for _, t in missing], tables, plan)
-                for (pos, task), output in zip(missing, walked):
-                    self.partial_cache.put(
-                        signature, grid, task, fingerprints, output
-                    )
+                tasks = [task for _, task in missing]
+                walked = join.walk_chunks(tasks, tables, plan)
+                self.partial_cache.put_many(
+                    signature, grid, fingerprints, zip(tasks, walked)
+                )
+                for (pos, _task), output in zip(missing, walked):
                     outputs[pos] = output
                 stats["chunks_walked"] = len(missing)
             span.set("chunks_cached", stats["chunks_cached"])

@@ -28,16 +28,20 @@ Execution is handled by the inference runtime (:mod:`repro.runtime`):
   emits its rows together).  Shared parents synthesized for dangling
   foreign keys derive their stream from the *key value*, so chunks that
   split a key's children still materialize the same parent tuple.
-* A call walks its chunks as **groups**: the chunk list is cut into at
-  most ``n_workers`` contiguous groups (one on the serial executor), and
-  each group is one walk over the concatenation of its chunks' root rows,
-  so per-chunk dispatch and padded model tiles are paid once per group.
-  Each row carries its ``origin`` (chunk index within the group) through
-  every hop; because hops emit rows in owner order, one stable sort by
-  origin splits the group's rows, parked states, synthesis counts and
-  issued ids back into exactly the outputs one-chunk walks produce.  With
-  a ``spill_dir`` every group is a single chunk: one resident chunk is
-  what bounds a spilled run's memory.
+* A call walks its chunks as **groups**, each one walk over the
+  concatenation of its chunks' root rows, so per-chunk dispatch and padded
+  model tiles are paid once per group.  When the executor runs one task at
+  a time (serial, or a single worker), consecutive chunks form a group of
+  up to ``max_group_rows`` root rows (all of them when unset); parallel
+  executors dispatch one chunk per task so they can balance uneven chunks
+  dynamically; with a ``spill_dir`` every group is a single chunk, because
+  one resident chunk is what bounds a spilled run's memory.  A group's
+  transient memory grows with its root rows, so ``max_group_rows`` (or a
+  ``spill_dir``) is what bounds a walk's memory.  Each row carries its
+  ``origin`` (chunk index within the group) through every hop; because
+  hops emit rows in owner order, one stable sort by origin splits the
+  group's rows, parked states, synthesis counts and issued ids back into
+  exactly the outputs one-chunk walks produce.
 * Because groups are pure, they fan out over an executor (``n_workers`` /
   ``parallel_backend`` — see :mod:`repro.runtime.parallel`).  Thread
   workers share this join object (walks accumulate into group-local
@@ -124,8 +128,7 @@ class _WalkState:
     context: Optional[np.ndarray]     # (R, C) SSAR context or None
     streams: np.ndarray               # (R,) uint64 per-row random stream ids
     counters: np.ndarray              # (R,) uint64 per-row draw counters
-    #: (R,) chunk of each row within a multi-chunk group walk, else None
-    origin: Optional[np.ndarray] = None
+    origin: np.ndarray                # (R,) unsigned chunk index in the group
 
     @property
     def num_rows(self) -> int:
@@ -141,7 +144,7 @@ class _WalkState:
             context=None if self.context is None else self.context[idx],
             streams=self.streams[idx],
             counters=self.counters[idx],
-            origin=None if self.origin is None else self.origin[idx],
+            origin=self.origin[idx],
         )
 
 
@@ -186,10 +189,7 @@ def _concat_many(states: List[_WalkState]) -> _WalkState:
         ),
         streams=np.concatenate([s.streams for s in non_empty]),
         counters=np.concatenate([s.counters for s in non_empty]),
-        origin=(
-            None if first.origin is None
-            else np.concatenate([s.origin for s in non_empty])
-        ),
+        origin=np.concatenate([s.origin for s in non_empty]),
     )
 
 
@@ -198,45 +198,51 @@ class _ShardAccumulator:
     """Synthesis side-state produced while walking one shard of rows.
 
     Walks write here instead of mutating the join object, which is what
-    makes a chunk walk a pure function — safe to run on any worker — and
-    gives the post-barrier merge one explicit, deterministic code path.
+    makes a walk a pure function — safe to run on any worker — and gives
+    the post-barrier merge one explicit, deterministic code path.  Every
+    entry keeps the ``origin`` of the rows it came from (one entry per
+    synthesized tuple, one per issued id), which is what lets a group walk
+    split its side-state back per chunk.
     """
 
     parked: Dict[int, List[_WalkState]] = field(default_factory=dict)
-    num_synth: Dict[str, int] = field(default_factory=dict)
-    issued_ids: Dict[str, List[np.ndarray]] = field(default_factory=dict)
-    #: Group walks only: the origin chunk of every synthesized row and of
-    #: every issued id, parallel to ``num_synth`` / ``issued_ids``.
     synth_origins: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    issued_ids: Dict[str, List[np.ndarray]] = field(default_factory=dict)
     id_origins: Dict[str, List[np.ndarray]] = field(default_factory=dict)
 
     def park(self, slot: int, state: _WalkState) -> None:
         self.parked.setdefault(slot, []).append(state)
 
-    def count_synth(
-        self, table_name: str, count: int,
-        origin: Optional[np.ndarray] = None,
-    ) -> None:
-        self.num_synth[table_name] = self.num_synth.get(table_name, 0) + count
-        if origin is not None:
+    def count_synth(self, table_name: str, origin: np.ndarray) -> None:
+        """Count one synthesized tuple per entry of ``origin``."""
+        if len(origin):
             self.synth_origins.setdefault(table_name, []).append(origin)
 
     def record_ids(
-        self, table_name: str, ids: np.ndarray,
-        origin: Optional[np.ndarray] = None,
+        self, table_name: str, ids: np.ndarray, origin: np.ndarray
     ) -> None:
         self.issued_ids.setdefault(table_name, []).append(ids)
-        if origin is not None:
-            self.id_origins.setdefault(table_name, []).append(origin)
+        self.id_origins.setdefault(table_name, []).append(origin)
+
+    @property
+    def num_synth(self) -> Dict[str, int]:
+        """Synthesized tuples per table (tables without any are absent)."""
+        return {
+            table_name: sum(len(origin) for origin in origins)
+            for table_name, origins in self.synth_origins.items()
+        }
 
     def merge(self, other: "_ShardAccumulator") -> None:
         """Fold another shard's side-state into this one (order-preserving)."""
         for slot, states in other.parked.items():
             self.parked.setdefault(slot, []).extend(states)
-        for table_name, count in other.num_synth.items():
-            self.count_synth(table_name, count)
+        for table_name, origins in other.synth_origins.items():
+            self.synth_origins.setdefault(table_name, []).extend(origins)
         for table_name, ids in other.issued_ids.items():
             self.issued_ids.setdefault(table_name, []).extend(ids)
+            self.id_origins.setdefault(table_name, []).extend(
+                other.id_origins[table_name]
+            )
 
 
 @dataclass
@@ -251,23 +257,44 @@ class _ChunkOutput:
         return self.state.num_rows
 
 
-def _chunk_indices(origin: np.ndarray, num_chunks: int) -> List[np.ndarray]:
+def _chunk_indices(origin: np.ndarray, num_chunks: int) -> List[Sequence[int]]:
     """Positions of each origin chunk's rows, in their original order.
 
     Every hop emits its parts in owner order, so a stable sort by origin
     yields exactly the rows — in the same order — that walking each chunk
-    on its own would have produced.
+    on its own would have produced.  Rows already in chunk order (always
+    so for a one-chunk group) need no sort: each chunk is a ``range``.
     """
+    if np.all(origin[:-1] <= origin[1:]):
+        bounds = np.searchsorted(origin, np.arange(num_chunks + 1))
+        return [range(bounds[c], bounds[c + 1]) for c in range(num_chunks)]
     order = np.argsort(origin, kind="stable")
     bounds = np.searchsorted(origin[order], np.arange(num_chunks + 1))
     return [order[bounds[c]:bounds[c + 1]] for c in range(num_chunks)]
 
 
+def _chunk_local(num_rows: int) -> np.ndarray:
+    """A chunk's own origin array: a one-chunk walk tags every row 0.
+
+    A read-only zero-stride view, so the chunk outputs held until assembly
+    (or in the partial-completion cache) pay no memory for their origins.
+    """
+    return np.broadcast_to(np.uint8(0), (num_rows,))
+
+
 def _split_state(state: _WalkState, num_chunks: int) -> List[_WalkState]:
+    """One state per origin chunk; consumes ``state``.
+
+    A chunk that holds every row (always so for a one-chunk group) takes
+    the state itself rather than a copy.
+    """
     parts = []
     for idx in _chunk_indices(state.origin, num_chunks):
-        part = state.take(idx)
-        part.origin = None
+        part = (
+            state if len(idx) == state.num_rows
+            else state.take(np.asarray(idx, dtype=np.int64))
+        )
+        part.origin = _chunk_local(part.num_rows)
         parts.append(part)
     return parts
 
@@ -278,34 +305,32 @@ def _split_group(
     """Split a group walk back into its chunks' outputs.
 
     Each output equals the one a walk of that chunk alone returns: its
-    state rows, its parked dangling-FK states per slot, its non-zero
-    synthesis counts and its issued ids, all in walk order.
+    state rows, its parked dangling-FK states per slot, its synthesis
+    counts (tables without any left out) and its issued ids, all in walk
+    order.
     """
-    if state.origin is None:  # a one-chunk group is a plain chunk walk
-        return [_ChunkOutput(state=state, acc=acc)]
     outputs = [
         _ChunkOutput(state=part, acc=_ShardAccumulator())
         for part in _split_state(state, num_chunks)
     ]
     for slot, parked in acc.parked.items():
         for group_state in parked:
-            for output, part in zip(outputs, _split_state(group_state, num_chunks)):
+            parts = _split_state(group_state, num_chunks)
+            for output, part in zip(outputs, parts):
                 if part.num_rows:
                     output.acc.park(slot, part)
-    for table_name in acc.num_synth:
-        origin = np.concatenate(acc.synth_origins[table_name])
-        for output, count in zip(
-            outputs, np.bincount(origin, minlength=num_chunks)
-        ):
-            if count:
-                output.acc.count_synth(table_name, int(count))
+    for table_name, origins in acc.synth_origins.items():
+        counts = np.bincount(np.concatenate(origins), minlength=num_chunks)
+        for output, count in zip(outputs, counts):
+            output.acc.count_synth(table_name, _chunk_local(count))
     for table_name, id_arrays in acc.issued_ids.items():
         for ids, origin in zip(id_arrays, acc.id_origins[table_name]):
-            for output, idx in zip(
-                outputs, _chunk_indices(origin, num_chunks)
-            ):
+            for output, idx in zip(outputs, _chunk_indices(origin, num_chunks)):
                 if len(idx):
-                    output.acc.record_ids(table_name, ids[idx])
+                    part = ids if len(idx) == len(ids) else ids[np.asarray(idx)]
+                    output.acc.record_ids(
+                        table_name, part, _chunk_local(len(idx))
+                    )
     return outputs
 
 
@@ -342,6 +367,7 @@ def _load_state(path: str) -> _WalkState:
             context=npz["context"] if "context" in npz.files else None,
             streams=npz["streams"],
             counters=npz["counters"],
+            origin=_chunk_local(len(npz["weights"])),
         )
 
 
@@ -540,11 +566,19 @@ class IncompletenessJoin:
         = one chunk).  The output is the same set of rows (bitwise,
         weights included) for any chunk size; row order and the
         granularity of chunk outputs (what the partial-completion cache
-        reuses) are what change.  A call walks its chunks in at most
-        ``n_workers`` batched group walks, so without ``spill_dir`` the
-        chunk size does not bound the walk's transient memory.
+        reuses) are what change.  On a serial executor a call walks its
+        chunks in batched groups (see ``max_group_rows``), so the chunk
+        size alone does not bound the walk's transient memory.
+    max_group_rows:
+        Most root rows one grouped walk may hold on a serial executor
+        (``None`` = all of a call's chunks walk as one group).  Consecutive
+        chunks are grouped up to this many root rows, a larger chunk walks
+        alone, and a group's transient memory is what this bounds.
+        :class:`~repro.core.engine.ReStore` passes its configured
+        ``chunk_size`` here, so an explicit chunk size keeps bounding a
+        walk to one chunk while the default canonical grid walks grouped.
     n_workers / parallel_backend:
-        Fan chunk groups out over an executor (``"serial"``, ``"thread"``
+        Fan chunks out over an executor (``"serial"``, ``"thread"``
         or ``"process"``; see :mod:`repro.runtime.parallel`).  Output rows
         are identical (up to order) for every backend and worker count at a
         fixed seed.  With ``n_workers > 1`` and no explicit ``chunk_size``, a
@@ -575,7 +609,12 @@ class IncompletenessJoin:
         n_workers: int = 1,
         parallel_backend: str = "serial",
         spill_dir: Optional[str] = None,
+        max_group_rows: Optional[int] = None,
     ):
+        if max_group_rows is not None and max_group_rows < 1:
+            raise ValueError(
+                f"max_group_rows must be >= 1, got {max_group_rows}"
+            )
         self.model = model
         self.layout = model.layout
         self.db = model.layout.db
@@ -588,6 +627,7 @@ class IncompletenessJoin:
         self.n_workers = int(n_workers)
         self.parallel_backend = parallel_backend
         self.spill_dir = spill_dir
+        self.max_group_rows = max_group_rows
         self._executor = get_executor(parallel_backend, self.n_workers)
         self._seed64 = rt_rng.fold_seed(self.seed)
         self._replacers: Dict[str, EuclideanReplacer] = {}
@@ -712,8 +752,10 @@ class IncompletenessJoin:
     ) -> List[_ChunkOutput]:
         """Walk the given root-row chunks (no assembly) on the executor.
 
-        The chunks are walked as contiguous groups, one batched walk per
-        worker, and come back as one output per chunk, in task order.
+        The chunks are walked as groups (consecutive chunks up to
+        ``max_group_rows`` root rows in one batched walk on a serial
+        executor, one per task on parallel executors or when spilling) and
+        come back as one output per chunk, in task order.
         Each output is a pure function of (seed, chunk bounds, plan) — the
         progressive engine walks a prefix of :meth:`chunk_tasks` now and
         tops up later; the partial-completion cache stores outputs keyed by
@@ -978,21 +1020,32 @@ class IncompletenessJoin:
     ) -> List[List[Tuple[int, int]]]:
         """Split tasks into contiguous groups, one walk per group.
 
-        One group per worker (a single group on the serial executor), so
-        per-chunk dispatch and padded tiles are paid once per worker rather
-        than once per chunk.  A spilled run keeps one chunk per group: one
-        resident chunk is what bounds its peak memory.
+        An executor that runs one task at a time walks consecutive chunks
+        as one group, up to ``max_group_rows`` root rows, paying per-chunk
+        dispatch and padded tiles once per group.  Parallel executors keep
+        one chunk per task, dispatched dynamically, so uneven chunks
+        (pruned by pushdown, or only some missing from the partial cache)
+        still balance across workers.  A spilled run keeps one chunk per
+        group: one resident chunk is what bounds its peak memory.
         """
-        if self.spill_dir is not None:
+        if self.spill_dir is not None or not (
+            executor.backend == "serial" or executor.n_workers == 1
+        ):
             return [[task] for task in tasks]
-        n = min(
-            1 if executor.backend == "serial" else executor.n_workers,
-            len(tasks),
-        )
-        return [
-            tasks[len(tasks) * g // n:len(tasks) * (g + 1) // n]
-            for g in range(n)
-        ]
+        groups: List[List[Tuple[int, int]]] = []
+        group_rows = 0
+        for task in tasks:
+            rows = task[1] - task[0]
+            if groups and (
+                self.max_group_rows is None
+                or group_rows + rows <= self.max_group_rows
+            ):
+                groups[-1].append(task)
+                group_rows += rows
+            else:
+                groups.append([task])
+                group_rows = rows
+        return groups
 
     def _walk_group(
         self,
@@ -1011,12 +1064,11 @@ class IncompletenessJoin:
         rows = np.concatenate(
             [np.arange(start, stop, dtype=np.int64) for start, stop in group]
         )
-        origin = None
-        if len(group) > 1:
-            origin = np.repeat(
-                np.arange(len(group), dtype=np.int32),
-                [stop - start for start, stop in group],
-            )
+        # The narrowest unsigned dtype that indexes the group's chunks.
+        origin = np.repeat(
+            np.arange(len(group), dtype=np.min_scalar_type(len(group) - 1)),
+            [stop - start for start, stop in group],
+        )
         if plan is not None and plan.has_root_filters and len(rows):
             # Pre-walk pruning: drop non-qualifying roots before any model
             # sampling.  Only the filters' own columns are read, once per
@@ -1040,11 +1092,10 @@ class IncompletenessJoin:
                 }
             keep = conjunction_mask(cols, filters, len(rows))
             rows = rows[keep]
-            if origin is not None:
-                origin = origin[keep]
-        state = self._initial_state(rows)
-        state.origin = origin
-        state = self._walk(state, 1, len(tables), acc, plan)
+            origin = origin[keep]
+        state = self._walk(
+            self._initial_state(rows, origin), 1, len(tables), acc, plan
+        )
         return _split_group(state, acc, len(group))
 
     def _prepare_shared_caches(self, tables: List[str]) -> None:
@@ -1098,8 +1149,10 @@ class IncompletenessJoin:
                 f"{root}.{c}": np.asarray(table[c]) for c in table.column_names
             }
 
-    def _initial_state(self, rows: np.ndarray) -> _WalkState:
-        """Root evidence state for an explicit array of root-row indices.
+    def _initial_state(
+        self, rows: np.ndarray, origin: np.ndarray
+    ) -> _WalkState:
+        """Root evidence state for root-row indices and their chunk origins.
 
         Each row's stream is derived from its index alone, so a pruned row
         set yields streams identical to the same rows of a full run.
@@ -1120,7 +1173,7 @@ class IncompletenessJoin:
                     {c: gathered[c] for c in encoder.columns}
                 )
             columns = {f"{root}.{c}": v for c, v in gathered.items()}
-            return self._initial_state_from(rows, codes, columns)
+            return self._initial_state_from(rows, codes, columns, origin)
         if encoder.columns:
             if self._root_codes is None:  # encoded once, sliced per chunk
                 self._root_codes = encoder.encode_table(table)
@@ -1129,11 +1182,11 @@ class IncompletenessJoin:
         assert self._root_columns is not None
         # Fancy indexing copies, so chunk states never alias the database.
         columns = {k: v[rows] for k, v in self._root_columns.items()}
-        return self._initial_state_from(rows, codes, columns)
+        return self._initial_state_from(rows, codes, columns, origin)
 
     def _initial_state_from(
         self, rows: np.ndarray, codes: np.ndarray,
-        columns: Dict[str, np.ndarray],
+        columns: Dict[str, np.ndarray], origin: np.ndarray,
     ) -> _WalkState:
         context = self.model.context_for_roots(rows)
         return _WalkState(
@@ -1145,6 +1198,7 @@ class IncompletenessJoin:
             context=context,
             streams=rt_rng.root_streams(rows),
             counters=np.zeros(len(rows), dtype=np.uint64),
+            origin=origin,
         )
 
     def _replacer(self, table_name: str) -> EuclideanReplacer:
@@ -1367,7 +1421,7 @@ class IncompletenessJoin:
         reps.counters = np.zeros(len(unique_keys), dtype=np.uint64)
         self._synthesize_table(reps, slot, new, acc, count=False)
         # Shared parents count once per missing key, not once per child row.
-        acc.count_synth(new, len(unique_keys))
+        acc.count_synth(new, reps.origin)
 
         shared = reps.take(np.searchsorted(unique_keys, keys))
         start, stop = self.layout.slot_range(slot)
@@ -1472,7 +1526,7 @@ class IncompletenessJoin:
         part.synthesized = np.ones(part.num_rows, dtype=bool)
         part.current_rows = np.full(part.num_rows, -1, dtype=np.int64)
         if count:
-            acc.count_synth(table_name, part.num_rows, part.origin)
+            acc.count_synth(table_name, part.origin)
 
     def _maybe_replace(self, part: _WalkState, slot: int, table_name: str) -> _WalkState:
         """Euclidean replacement for synthesized tuples of complete tables."""
@@ -1509,7 +1563,7 @@ class IncompletenessJoin:
             context=None if state.context is None else state.context[:0],
             streams=state.streams[:0],
             counters=state.counters[:0],
-            origin=None if state.origin is None else state.origin[:0],
+            origin=state.origin[:0],
         )
 
     def _mean_children_per_parent(self, fk) -> float:

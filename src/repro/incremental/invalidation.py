@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Tuple
 
-from ..runtime.rng import chunk_slices
 from .mutations import MutationDelta
 
 __all__ = ["Invalidation", "affected_tasks", "plan_invalidation"]
@@ -50,14 +49,18 @@ class Invalidation:
 def affected_tasks(
     positions: Iterable[int], num_roots: int, chunk_size: int
 ) -> FrozenSet[Tuple[int, int]]:
-    """Chunk-grid tasks whose row range covers any of ``positions``."""
-    slices = [(s.start, s.stop) for s in chunk_slices(num_roots, chunk_size)]
+    """Chunk-grid tasks whose row range covers any of ``positions``.
+
+    The grid is the one :func:`~repro.runtime.rng.chunk_slices` cuts, so a
+    position's chunk is found by arithmetic, not by scanning the grid.
+    """
+    if chunk_size is None or chunk_size <= 0 or chunk_size >= num_roots:
+        chunk_size = max(num_roots, 1)
     hit = set()
     for pos in positions:
-        for start, stop in slices:
-            if start <= pos < stop:
-                hit.add((start, stop))
-                break
+        if 0 <= pos < num_roots:
+            start = pos - pos % chunk_size
+            hit.add((start, min(start + chunk_size, num_roots)))
     return frozenset(hit)
 
 

@@ -23,7 +23,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 
 @dataclass
@@ -185,6 +188,14 @@ class PartialJoinCache:
     Parked side state is plan-independent by planner construction, so it is
     reusable as-is in both cases.
 
+    Each ``(join signature, chunk grid)`` pair is interned once as a small
+    integer *slot*, and chunk entries are keyed by ``(slot, bounds)``: a
+    probe hashes the grid once per call (:meth:`lookup_many` /
+    :meth:`put_many`), not once per chunk, so probing a whole grid costs
+    O(chunks) rather than O(chunks²).  Slots are dropped with their
+    signature's entries when the grid changes (:meth:`invalidate_delta`
+    without tasks) or on :meth:`invalidate`.
+
     Capacity is counted in chunks.  Thread-safe like :class:`JoinCache`;
     invalidation drops everything (models were re-fitted).
     """
@@ -195,17 +206,24 @@ class PartialJoinCache:
         self.capacity = capacity
         self.stats = PartialCacheStats()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        # base key (signature, grid, bounds) -> fingerprint sets present
-        self._by_base: Dict[Hashable, Set[FrozenSet]] = {}
+        # (signature, grid) -> slot id; chunk keys carry the id, not the grid
+        self._slots: Dict[Tuple[Hashable, Tuple], int] = {}
+        self._next_slot = 0
+        # base key (slot, bounds) -> fingerprint sets present
+        self._by_base: Dict[Tuple[int, Tuple], Set[FrozenSet]] = {}
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    @staticmethod
-    def _base_key(signature: Hashable, grid: Tuple, task: Tuple) -> Hashable:
-        return (signature, grid, task)
+    def _slot(self, signature: Hashable, grid: Tuple) -> int:
+        """The interned slot of ``(signature, grid)``, created on first use."""
+        slot = self._slots.get((signature, grid))
+        if slot is None:
+            slot = self._slots[(signature, grid)] = self._next_slot
+            self._next_slot += 1
+        return slot
 
     def has_entries(self, signature: Hashable, grid: Tuple) -> bool:
         """Pure probe: any chunk cached for this join signature and grid?
@@ -214,9 +232,9 @@ class PartialJoinCache:
         chunks is possible without spending per-chunk miss counters.
         """
         with self._lock:
-            return any(
-                base[0] == signature and base[1] == grid
-                for base in self._by_base
+            slot = self._slots.get((signature, grid))
+            return slot is not None and any(
+                base[0] == slot for base in self._by_base
             )
 
     def lookup(
@@ -234,27 +252,45 @@ class PartialJoinCache:
         several subset candidates the largest wins — fewest rows left to
         re-filter.
         """
-        base = self._base_key(signature, grid, task)
+        return self.lookup_many(signature, grid, [task], fingerprints)[0]
+
+    def lookup_many(
+        self,
+        signature: Hashable,
+        grid: Tuple,
+        tasks: Sequence[Tuple],
+        fingerprints: FrozenSet,
+    ) -> List[Optional[Tuple[Any, FrozenSet]]]:
+        """:meth:`lookup` for each of ``tasks`` (same grid), in order."""
         with self._lock:
-            candidates = self._by_base.get(base)
-            if candidates:
-                if fingerprints in candidates:
-                    key = (base, fingerprints)
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    return self._entries[key], fingerprints
-                subsets: List[FrozenSet] = [
-                    fps for fps in candidates if fps < fingerprints
-                ]
-                if subsets:
-                    best = max(subsets, key=len)
-                    key = (base, best)
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    self.stats.subset_hits += 1
-                    return self._entries[key], best
-            self.stats.misses += 1
-            return None
+            slot = self._slot(signature, grid)
+            return [
+                self._lookup(slot, task, fingerprints) for task in tasks
+            ]
+
+    def _lookup(
+        self, slot: int, task: Tuple, fingerprints: FrozenSet
+    ) -> Optional[Tuple[Any, FrozenSet]]:
+        base = (slot, task)
+        candidates = self._by_base.get(base)
+        if candidates:
+            if fingerprints in candidates:
+                key = (base, fingerprints)
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return self._entries[key], fingerprints
+            subsets: List[FrozenSet] = [
+                fps for fps in candidates if fps < fingerprints
+            ]
+            if subsets:
+                best = max(subsets, key=len)
+                key = (base, best)
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                self.stats.subset_hits += 1
+                return self._entries[key], best
+        self.stats.misses += 1
+        return None
 
     def put(
         self,
@@ -264,29 +300,46 @@ class PartialJoinCache:
         fingerprints: FrozenSet,
         output: Any,
     ) -> None:
+        self.put_many(signature, grid, fingerprints, [(task, output)])
+
+    def put_many(
+        self,
+        signature: Hashable,
+        grid: Tuple,
+        fingerprints: FrozenSet,
+        items: Iterable[Tuple[Tuple, Any]],
+    ) -> None:
+        """:meth:`put` each ``(task, output)`` pair (same grid), in order."""
+        with self._lock:
+            slot = self._slot(signature, grid)
+            for task, output in items:
+                self._put(slot, task, fingerprints, output)
+
+    def _put(
+        self, slot: int, task: Tuple, fingerprints: FrozenSet, output: Any
+    ) -> None:
         # Spilled chunk outputs live in a run-scoped directory that is
         # gone after assembly — caching the handle would serve dangling
         # paths.  Such outputs declare themselves non-cacheable.
         if not getattr(output, "cacheable", True):
             return
-        base = self._base_key(signature, grid, task)
+        base = (slot, task)
         key = (base, fingerprints)
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = output
-                return
+        if key in self._entries:
+            self._entries.move_to_end(key)
             self._entries[key] = output
-            self._by_base.setdefault(base, set()).add(fingerprints)
-            while len(self._entries) > self.capacity:
-                old_key, _ = self._entries.popitem(last=False)
-                old_base, old_fps = old_key
-                remaining = self._by_base.get(old_base)
-                if remaining is not None:
-                    remaining.discard(old_fps)
-                    if not remaining:
-                        del self._by_base[old_base]
-                self.stats.evictions += 1
+            return
+        self._entries[key] = output
+        self._by_base.setdefault(base, set()).add(fingerprints)
+        while len(self._entries) > self.capacity:
+            old_key, _ = self._entries.popitem(last=False)
+            old_base, old_fps = old_key
+            remaining = self._by_base.get(old_base)
+            if remaining is not None:
+                remaining.discard(old_fps)
+                if not remaining:
+                    del self._by_base[old_base]
+            self.stats.evictions += 1
 
     def invalidate(self) -> None:
         """Drop every entry (models were re-fitted; cached chunks are stale)."""
@@ -295,6 +348,7 @@ class PartialJoinCache:
                 self.stats.invalidations += 1
             self._entries.clear()
             self._by_base.clear()
+            self._slots.clear()
 
     def invalidate_delta(
         self,
@@ -314,11 +368,19 @@ class PartialJoinCache:
         Returns the number of chunk entries evicted.
         """
         with self._lock:
+            slots = {
+                slot for (sig, _grid), slot in self._slots.items()
+                if sig == signature
+            }
+            if tasks is None:
+                for key in [k for k, slot in self._slots.items()
+                            if slot in slots]:
+                    del self._slots[key]
             victims = [
                 (base, fps)
                 for base, fp_sets in self._by_base.items()
-                if base[0] == signature
-                and (tasks is None or base[2] in tasks)
+                if base[0] in slots
+                and (tasks is None or base[1] in tasks)
                 for fps in fp_sets
             ]
             for key in victims:

@@ -1,12 +1,12 @@
 """Counter-based random streams for chunk-invariant sampling.
 
 The incompleteness join synthesizes tuples with autoregressive sampling, and
-the runtime executes it over row chunks (bounded memory).  A shared
-``np.random.Generator`` would make every sampled value depend on how rows are
-batched — chunked and unchunked runs would diverge.  Instead, every walk row
-carries its own *stream id* (derived from its lineage: the root evidence row
-plus the ordinal of every child expansion along the way) and a *draw
-counter*.  A uniform draw is then the pure function
+the runtime executes it over row chunks, alone or batched into groups.  A
+shared ``np.random.Generator`` would make every sampled value depend on how
+rows are batched — chunked and unchunked runs would diverge.  Instead, every
+walk row carries its own *stream id* (derived from its lineage: the root
+evidence row plus the ordinal of every child expansion along the way) and a
+*draw counter*.  A uniform draw is then the pure function
 
     u = splitmix64(seed ⊕ stream ⊕ counter)  →  [0, 1)
 

@@ -1,17 +1,20 @@
 """Fused chunk walks: a grouped walk splits back into one-chunk walks.
 
-``IncompletenessJoin.walk_chunks`` walks a call's chunk tasks as a few
-contiguous groups (one per worker) and splits each group's walk back into
-per-chunk outputs by row origin.  The contract under test:
+``IncompletenessJoin.walk_chunks`` walks a call's chunk tasks as groups —
+all of them in one walk on a serial executor, one chunk per task on
+parallel executors or when spilling — and splits each group's walk back
+into per-chunk outputs by row origin.  The contract under test:
 
 * every per-chunk output of a grouped walk equals the output of walking
   that chunk alone, bitwise — state arrays and columns (row order
   included), parked dangling-FK states per slot, synthesis counts and
   issued ids — with and without a pushdown plan, on RAM and mapped roots,
-  on every backend;
+  against one-chunk walks on every backend;
 * the engine's cold → pushdown → top-up → recomplete sequence yields
   bitwise-identical joins and probes the partial cache exactly as a
   chunk-at-a-time walk would;
+* groups stop at ``max_group_rows`` root rows, which the engine sets to
+  its explicit ``chunk_size``;
 * tracing emits one ``join.chunk`` span per group, whose ``chunks``
   attributes sum to the chunks walked.
 """
@@ -125,7 +128,7 @@ def _assert_arrays_identical(a, b, what):
 
 def _assert_states_identical(a, b, what):
     for name in ("codes", "weights", "synthesized", "current_rows",
-                 "streams", "counters"):
+                 "streams", "counters", "origin"):
         _assert_arrays_identical(getattr(a, name), getattr(b, name),
                                  f"{what}: {name}")
     assert (a.context is None) == (b.context is None), what
@@ -135,7 +138,7 @@ def _assert_states_identical(a, b, what):
     for column in b.columns:
         _assert_arrays_identical(a.columns[column], b.columns[column],
                                  f"{what}: {column}")
-    assert a.origin is None and b.origin is None, what
+    assert not a.origin.any(), f"{what}: origin is not chunk-local"
 
 
 def _assert_outputs_identical(grouped, single, what):
@@ -153,6 +156,9 @@ def _assert_outputs_identical(grouped, single, what):
         assert len(grouped.acc.issued_ids[table]) == len(arrays), what
         for a, b in zip(grouped.acc.issued_ids[table], arrays):
             _assert_arrays_identical(a, b, f"{what}: ids of {table}")
+        for a, b in zip(grouped.acc.id_origins[table],
+                        single.acc.id_origins[table]):
+            _assert_arrays_identical(a, b, f"{what}: id origins of {table}")
 
 
 class TestGroupedWalkEqualsChunkWalks:
@@ -166,14 +172,18 @@ class TestGroupedWalkEqualsChunkWalks:
         model = case[roots]
         plan = case["plan"] if pushed else None
         num_roots = len(model.layout.db.table(model.layout.path.tables[0]))
-        join = IncompletenessJoin(
-            model, seed=3, chunk_size=max(1, num_roots // 7),
+        chunk_size = max(1, num_roots // 7)
+        join = IncompletenessJoin(model, seed=3, chunk_size=chunk_size)
+        per_chunk = IncompletenessJoin(
+            model, seed=3, chunk_size=chunk_size,
             n_workers=n_workers, parallel_backend=backend,
         )
         grid = join.chunk_tasks()
         assert len(grid) >= 4
+        assert len(join._task_groups(grid, join._executor)) == 1
         grouped = join.walk_chunks(grid, plan=plan)
-        single = [join.walk_chunks([task], plan=plan)[0] for task in grid]
+        single = [per_chunk.walk_chunks([task], plan=plan)[0]
+                  for task in grid]
         assert len(grouped) == len(grid)
         for task, a, b in zip(grid, grouped, single):
             _assert_outputs_identical(a, b, f"chunk {task}")
@@ -211,18 +221,46 @@ class TestGroupedWalkEqualsChunkWalks:
 
 
 class TestGrouping:
-    @pytest.mark.parametrize("backend,n_workers,groups", [
-        ("serial", 1, 1), ("serial", 4, 1), ("thread", 2, 2),
-        ("process", 2, 2),
+    @pytest.mark.parametrize("backend,n_workers,fused", [
+        ("serial", 1, True), ("serial", 4, True), ("thread", 1, True),
+        ("thread", 2, False), ("process", 2, False),
     ])
-    def test_one_group_per_worker(self, fitted, backend, n_workers, groups):
+    def test_fused_only_when_walking_one_task_at_a_time(
+        self, fitted, backend, n_workers, fused
+    ):
         join = IncompletenessJoin(fitted("housing")["ram"], seed=3,
                                   chunk_size=4, n_workers=n_workers,
                                   parallel_backend=backend)
         grid = join.chunk_tasks()
         split = join._task_groups(grid, join._executor)
-        assert len(split) == min(groups, len(grid))
+        assert split == ([grid] if fused else [[task] for task in grid])
+
+    @pytest.mark.parametrize("budget,sizes", [
+        (8, [8, 8, 4]), (10, [8, 8, 4]), (12, [12, 8]), (3, [4, 4, 4, 4, 4]),
+    ])
+    def test_groups_stop_at_max_group_rows(self, fitted, budget, sizes):
+        join = IncompletenessJoin(fitted("housing")["ram"], seed=3,
+                                  chunk_size=4, max_group_rows=budget)
+        grid = join.chunk_tasks()[:5]
+        split = join._task_groups(grid, join._executor)
         assert [task for group in split for task in group] == grid
+        # Consecutive chunks up to the budget; a larger chunk walks alone.
+        assert [sum(b - a for a, b in group) for group in split] == sizes
+
+    def test_budgeted_groups_split_bitwise(self, fitted):
+        case = fitted("movies-actor")
+        join = IncompletenessJoin(case["ram"], seed=3, chunk_size=16,
+                                  max_group_rows=40)
+        grid = join.chunk_tasks()
+        assert 1 < len(join._task_groups(grid, join._executor)) < len(grid)
+        grouped = join.walk_chunks(grid, plan=case["plan"])
+        for task, output in zip(grid, grouped):
+            single = join.walk_chunks([task], plan=case["plan"])[0]
+            _assert_outputs_identical(output, single, f"chunk {task}")
+
+    def test_max_group_rows_must_be_positive(self, fitted):
+        with pytest.raises(ValueError, match="max_group_rows"):
+            IncompletenessJoin(fitted("housing")["ram"], max_group_rows=0)
 
     def test_spilled_runs_walk_one_chunk_per_group(self, fitted, tmp_path):
         join = IncompletenessJoin(fitted("housing")["ram"], seed=3,
@@ -245,9 +283,10 @@ class TestTracing:
         disable_tracing()
         set_tracer(Tracer())
 
-    @pytest.mark.parametrize("backend,n_workers", [("serial", 1),
-                                                   ("thread", 2)])
-    def test_one_span_per_group(self, fitted, backend, n_workers):
+    @pytest.mark.parametrize("backend,n_workers,fused", [
+        ("serial", 1, True), ("thread", 2, False),
+    ])
+    def test_one_span_per_group(self, fitted, backend, n_workers, fused):
         join = IncompletenessJoin(fitted("housing")["ram"], seed=3,
                                   chunk_size=4, n_workers=n_workers,
                                   parallel_backend=backend)
@@ -256,7 +295,7 @@ class TestTracing:
         join.walk_chunks(grid)
         spans = [s for s in tracer.spans() if s.name == "join.chunk"]
         groups = join._task_groups(grid, join._executor)
-        assert len(spans) == len(groups) == min(n_workers, len(grid))
+        assert len(spans) == len(groups) == (1 if fused else len(grid))
         assert sum(s.attrs["chunks"] for s in spans) == len(grid)
         assert sum(s.attrs["rows_scanned"] for s in spans) == grid[-1][1]
 
@@ -317,6 +356,26 @@ def _run_sequence(engine, full, selective):
     }
 
 
+class TestEngineGrouping:
+    def test_explicit_chunk_size_bounds_every_walk(self, engine):
+        model = engine._default_model()
+        default = engine._partial_join(model)
+        grid = default.chunk_tasks()
+        assert default.max_group_rows is None
+        assert default._task_groups(grid, default._executor) == [grid]
+        bounded_config = engine.config
+        try:
+            engine.config = replace(bounded_config, chunk_size=5)
+            bounded = engine._partial_join(model)
+        finally:
+            engine.config = bounded_config
+        grid = bounded.chunk_tasks()
+        assert bounded.max_group_rows == 5
+        assert bounded._task_groups(grid, bounded._executor) == [
+            [task] for task in grid
+        ]
+
+
 class TestEngineSequence:
     def test_cold_pushdown_topup_recomplete(self, engine):
         full = parse_query(
@@ -355,7 +414,7 @@ class TestEngineSequence:
             "chunks_total": grid, "chunks_walked": 0, "chunks_cached": grid,
         }
 
-        # The same sequence on two thread workers (two groups per call)
+        # The same sequence on two thread workers (one chunk per task)
         # answers identically and probes the cache identically.
         serial_config = engine.config
         try:
